@@ -215,8 +215,9 @@ def _validate_window(kn1: int, kn2: int, params: VectorParams) -> None:
     Raises :class:`CipherFormatError` — not a bare :class:`ValueError` —
     so a pathological policy can never silently corrupt a stream and so
     callers handle it through the same hierarchy as any other malformed
-    ciphertext.  The fast engine (:mod:`repro.core.fastpath`) enforces
-    the identical contract.
+    ciphertext.  The fast engine (:mod:`repro.core.fastpath`) takes no
+    injected policies: its windows come from tables of the built-in
+    ones.
     """
     if not 0 <= kn1 <= kn2 <= params.key_max:
         raise CipherFormatError(

@@ -7,52 +7,56 @@ core.  This module is the software analogue of that hardware speedup: a
 second, *bit-identical* implementation of the embed/extract engine that
 operates on packed integers.
 
-How it gets its speed (DESIGN.md section 8):
+It takes the paper's own route (DESIGN.md section 8): the serial,
+key-dependent work is moved off the per-vector path into tables built
+ahead of the data, and each window is replaced in one word operation.
 
-* **Packed messages** — the plaintext is one Python big integer with the
-  canonical LSB-first bit order of :func:`repro.util.bits.bytes_to_bits`
-  (bit ``m`` of the stream is bit ``m`` of ``int.from_bytes(data,
-  "little")``), so a whole replacement window is one shift-and-mask.
-* **Compiled key schedules** — each key pair is pre-sorted once into a
-  *pair program*: the scramble-slice offset and mask for the location
-  scramble, and the data-scramble bits of ``K1`` tiled into a
-  ``max_window``-wide word, so embedding a window is a single XOR.
-* **Leap-table LFSR** — hiding vectors come from
-  :class:`repro.util.lfsr.LeapLfsr`, which jumps the register a whole
-  word per table lookup instead of ``width`` single-bit steps.
+* **LFSR orbit table** — for a maximal register of at most 16 bits the
+  hiding vectors of a packet are a slice of one precomputed orbit of
+  :meth:`~repro.util.lfsr.Lfsr.next_word`
+  (:func:`repro.util.lfsr.lfsr_orbit`), read through a
+  :class:`memoryview`; wider or non-primitive registers fall back to
+  :class:`~repro.util.lfsr.LeapLfsr` blocks.
+* **Shared window tables** — a vector's window (its offset, width,
+  masks and data-scramble word) depends only on the sorted key pair and
+  the at most ``key_bits``-wide scramble slice of the vector, so it is
+  one lookup in a small table shared by every key holding that pair
+  (:func:`_window_table`; 36 sorted pairs at width 16).
+* **Packed messages** — message bits move through a 64-bit accumulator
+  (LSB-first, the order of :func:`repro.util.bits.bytes_to_bits`), so a
+  window is one shift-and-mask and no operation touches the whole
+  message.
 
 Equivalence argument: the per-vector state of both engines is
 ``(pair index, vector source state, message cursor, frame_left)``.  Both
-consume one vector per iteration from the same source sequence (the leap
-tables are sampled from the reference :class:`~repro.util.lfsr.Lfsr`
-itself), compute the same window (the mod-``half`` wrap is one
-conditional subtract since ``kn1, span < half``), and consume the same
-``budget = min(window, frame_left, remaining)`` bits; replacing the
-reference's per-bit read-XOR-write loop with one masked word XOR is the
-identity ``(chunk ^ scramble) & m == XOR of the per-bit scrambles``.
-The differential suite (``tests/core/test_fastpath_equiv.py``) pins the
-two engines together over thousands of randomised cases.
+consume one vector per iteration from the same source sequence, compute
+the same window (the table holds the reference window policy evaluated
+at every scramble-slice value), and consume the same ``budget =
+min(window, frame_left, remaining)`` bits; replacing the reference's
+per-bit read-XOR-write loop with one masked word XOR is the identity
+``(chunk ^ scramble) & m == XOR of the per-bit scrambles``.  The
+differential suite (``tests/core/test_fastpath_equiv.py``) pins the two
+engines together over thousands of randomised cases.
 
-Engine selection is threaded through the stack as an
-``engine="reference" | "fast"`` parameter: :mod:`repro.core.mhhea` /
-:mod:`repro.core.hhea` (``encrypt_bits`` / ``decrypt_bits``),
-:mod:`repro.core.stream` (``encrypt_packet`` / ``decrypt_packet``),
-:class:`repro.net.session.SessionConfig` and the CLI.  Both engines
-produce byte-identical wire packets, so the choice is purely local —
-peers never need to agree on it.
+Engine selection goes through the registry (:mod:`repro.core.engines`,
+name ``"fast"``).  Both engines produce byte-identical wire packets, so
+the choice is purely local — peers never need to agree on it.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterator, Sequence
+from functools import lru_cache
+from itertools import chain, cycle, repeat
 
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
 from repro.core.params import VectorParams
 from repro.obs import core as _obs
 from repro.util.bits import bits_to_int, check_uint, mask
-from repro.util.lfsr import LeapLfsr, Lfsr
+from repro.util.lfsr import ORBIT_MAX_WIDTH, LeapLfsr, Lfsr, lfsr_orbit
 
 __all__ = [
     "ENGINES",
@@ -62,8 +66,6 @@ __all__ = [
     "check_engine",
     "FastSchedule",
     "schedule_for",
-    "embed_stream",
-    "extract_stream",
     "BatchCodec",
 ]
 
@@ -79,10 +81,13 @@ DEFAULT_ENGINE = "reference"
 MHHEA = "mhhea"
 HHEA = "hhea"
 
-# Window modes of a compiled schedule.
-_W_SCRAMBLED = 0  # MHHEA: window displaced by the vector's scramble half
-_W_FIXED = 1      # HHEA: the sorted pair itself
-_W_CALLABLE = 2   # injected policy (tests); validated per vector
+#: Words per :meth:`LeapLfsr.words` block after the first, for registers
+#: without an orbit table.
+_LEAP_BLOCK = 64
+
+#: Unsigned :mod:`array` typecodes; an array of one of these whose items
+#: are exactly ``width`` bits wide can only hold valid vectors.
+_UNSIGNED_CODES = frozenset("BHILQ")
 
 
 def check_engine(engine: str) -> str:
@@ -107,48 +112,99 @@ def _check_frame_bits(frame_bits: int | None) -> None:
         raise ValueError(f"frame_bits must be positive or None, got {frame_bits}")
 
 
-def _tile_scramble(bits: Sequence[int], params: VectorParams) -> int:
-    """Tile the ``key_bits`` per-``q`` scramble bits across a full window.
+@lru_cache(maxsize=None)
+def _window_table(k1: int, k2: int, algorithm: str, params: VectorParams
+                  ) -> tuple[int, int, tuple[tuple[int, int, int, int, int], ...]]:
+    """The windows of one sorted key pair, for every scramble-slice value.
 
-    The engine restarts ``q`` at zero for every window and reduces it
-    modulo ``key_bits``, so the scramble pattern seen by any window is a
-    prefix of this fixed tiling — one precomputed word replaces one
-    policy call per message bit.
+    Returns ``(shift, slice_mask, entries)``: a vector's window is
+    ``entries[(vector >> shift) & slice_mask]``, an entry being ``(kn1,
+    budget, clear, window, scramble)`` — the window's low bit and width,
+    the vector mask that clears it, the mask that selects it, and the
+    data-scramble bits already shifted into place.
+
+    MHHEA displaces the window by the vector's scramble slice
+    ``V[k2+half .. k1+half]``; only its low ``key_bits`` bits survive
+    the ``mod half`` reduction, so a pair has at most ``half`` windows.
+    The scramble bits ``K1[q mod key_bits]`` restart at ``q = 0`` in
+    every window, so one tiled word serves them all.  HHEA's window is
+    the pair itself.  Nothing here depends on the rest of the key, so
+    every key holding the pair shares the table.
     """
-    word = 0
-    for q in range(params.max_window):
-        word |= bits[q % params.key_bits] << q
-    return word
+    half = params.half
+    span = k2 - k1
+    if algorithm == MHHEA:
+        shift = k1 + params.scramble_low
+        slice_mask = mask(min(span + 1, params.key_bits))
+        scramble = 0
+        for q in range(params.max_window):
+            scramble |= ((k1 >> (q % params.key_bits)) & 1) << q
+    else:
+        shift = slice_mask = scramble = 0
+    full = mask(params.width)
+    entries = []
+    for value in range(slice_mask + 1):
+        kn1, kn2 = k1, k2
+        if algorithm == MHHEA:
+            kn1 = value ^ k1
+            kn2 = kn1 + span
+            if kn2 >= half:
+                kn1, kn2 = kn2 - half, kn1
+        budget = kn2 - kn1 + 1
+        window = mask(budget) << kn1
+        entries.append((kn1, budget, full ^ window, window,
+                        (scramble << kn1) & window))
+    return shift, slice_mask, tuple(entries)
 
 
-def _vector_supply(source, width: int):
-    """Per-vector word supplier; table-driven when ``source`` is a plain Lfsr.
+def _leap_blocks(leap: LeapLfsr, first: int) -> Iterator[list[int]]:
+    yield leap.words(first)
+    while True:
+        yield leap.words(_LEAP_BLOCK)
+
+
+def _hiding_words(source, width: int, n_bits: int
+                  ) -> tuple[Iterator[int], bool]:
+    """The hiding vectors ``source`` will emit, and whether it is an Lfsr.
 
     For a plain :class:`~repro.util.lfsr.Lfsr` no wider than the engine
     (wider registers must go through the checked path so they fail
-    exactly like the reference engine), the supplier advances a
-    :class:`~repro.util.lfsr.LeapLfsr` clone and writes the word back
-    into ``source.state`` — ``next_word`` leaves the register equal to
-    the word it returns, so the caller's source stays in exactly the
-    state the reference engine would have left it in.  Any other source
-    is consulted one ``next_word()`` at a time, range-checked like the
+    exactly like the reference engine) the words are read ahead from a
+    table: a slice of the register's orbit, or :class:`LeapLfsr` blocks
+    when it has none.  The first block is ``ceil(n_bits / max_window)``
+    words, the fewest a message can use.  The caller writes the last
+    word it used back into ``source.state`` — ``next_word`` leaves the
+    register equal to the word it returns — so the source ends exactly
+    where the reference engine would leave it.  Any other source is
+    consulted one ``next_word()`` at a time, range-checked like the
     reference engine does.
     """
     if source.__class__ is Lfsr and source.width <= width:
+        state = source.state
+        tables = None
+        if source.width <= ORBIT_MAX_WIDTH and 0 < state <= mask(source.width):
+            tables = lfsr_orbit(source.width, source.taps)
+        if tables is not None:
+            orbit, position = tables
+            # repeat(orbit), not cycle(orbit): cycle keeps a copy of
+            # every word it yields, a 65535-int list once a read wraps.
+            return chain(orbit[position[state] + 1:],
+                         chain.from_iterable(repeat(orbit))), True
         leap = LeapLfsr.from_lfsr(source)
-        leap_word = leap.next_word
+        return chain.from_iterable(
+            _leap_blocks(leap, -(-n_bits // (width // 2)))), True
+    next_word = source.next_word
+    return (check_uint(next_word(), width, "hiding vector")
+            for _ in repeat(None)), False
 
-        def supply() -> int:
-            word = leap_word()
-            source.state = word
-            return word
 
-        return supply
-
-    def supply() -> int:
-        return check_uint(source.next_word(), width, "hiding vector")
-
-    return supply
+def _checked_vectors(vectors: Iterator, width: int) -> Iterator[int]:
+    """Pass ciphertext vectors through, failing like the reference engine."""
+    top = mask(width)
+    for vector in vectors:
+        if vector.__class__ is not int or not 0 <= vector <= top:
+            check_uint(vector, width, "ciphertext vector")
+        yield vector
 
 
 class FastSchedule:
@@ -156,48 +212,25 @@ class FastSchedule:
 
     Built once per (key, algorithm, params) by :func:`schedule_for` (and
     cached there), then reused across every packet — this is what makes
-    :class:`BatchCodec` cheap.  Messages travel as packed integers: bit
-    ``m`` of the stream is bit ``m`` of the integer.
+    :class:`BatchCodec` cheap.  The schedule itself is one reference per
+    key pair to a shared :func:`_window_table`.  Messages travel as
+    packed integers: bit ``m`` of the stream is bit ``m`` of the
+    integer.
     """
 
-    __slots__ = ("params", "width", "half", "_mode", "_progs", "_masks",
-                 "_window_policy", "_read_span", "__weakref__")
+    __slots__ = ("params", "width", "_progs", "__weakref__")
 
-    def __init__(self, key: Key, params: VectorParams, mode: int,
-                 window_policy=None, data_bit_policy=None):
+    def __init__(self, key: Key, algorithm: str, params: VectorParams):
+        if algorithm not in (MHHEA, HHEA):
+            raise ValueError(
+                f"algorithm must be {MHHEA!r} or {HHEA!r}, got {algorithm!r}"
+            )
         self.params = params
         self.width = params.width
-        self.half = params.half
-        self._mode = mode
-        self._window_policy = window_policy
-        self._masks = tuple(mask(i) for i in range(params.max_window + 1))
-        # Bytes that always cover one window read at any bit offset:
-        # max_window bits plus up to 7 offset bits.
-        self._read_span = (params.max_window + 7) // 8 + 1
         progs = []
         for pair in key.pairs:
             s = pair.sorted()
-            span = s.k2 - s.k1
-            if mode == _W_SCRAMBLED:
-                slice_low = s.k1 + params.scramble_low
-                slice_mask = mask(span + 1)
-                scramble_bits = [(s.k1 >> q) & 1 for q in range(params.key_bits)]
-            elif mode == _W_FIXED:
-                slice_low = slice_mask = 0
-                scramble_bits = [0] * params.key_bits
-            else:
-                slice_low = slice_mask = 0
-                scramble_bits = []
-                for q in range(params.key_bits):
-                    bit = data_bit_policy(s, q)
-                    if bit not in (0, 1):
-                        raise CipherFormatError(
-                            f"data-bit policy returned {bit!r} for q={q}, "
-                            f"expected 0 or 1"
-                        )
-                    scramble_bits.append(bit)
-            scramble = _tile_scramble(scramble_bits, params)
-            progs.append((s.k1, s.k2, span, slice_low, slice_mask, scramble, s))
+            progs.append(_window_table(s.k1, s.k2, algorithm, params))
         self._progs = tuple(progs)
 
     # -- packed-integer core ----------------------------------------------
@@ -214,67 +247,51 @@ class FastSchedule:
 
     def _embed_buffer(self, buf: bytes, n_bits: int, source,
                       frame_bits: int | None) -> list[int]:
-        """The embed hot loop over an LSB-first byte buffer.
+        """The embed loop over an LSB-first byte buffer.
 
-        A window is at most ``max_window`` bits, so any window read fits
-        in a ``_read_span``-byte slice of the buffer — one
-        ``int.from_bytes`` per vector, never a shift of the whole
-        message (big-integer shifts are O(message), which would make the
-        loop quadratic).
+        ``left`` counts the bits of the current frame (the whole message
+        when unframed) and ``after`` those beyond it, so a window that
+        fits below ``left`` takes the table entry as it is; only the
+        window that ends a frame or the message is clamped.  The
+        accumulator is refilled 56 bits at a time, so it never holds
+        more than a couple of machine words.
         """
         if n_bits < 0:
             raise ValueError(f"n_bits must be non-negative, got {n_bits}")
         _check_frame_bits(frame_bits)
-        progs = self._progs
-        n_pairs = len(progs)
-        masks = self._masks
-        half = self.half
-        kmask = half - 1
-        span_bytes = self._read_span
-        mode = self._mode
-        policy = self._window_policy
-        params = self.params
-        from_bytes = int.from_bytes
-        supply = _vector_supply(source, self.width)
         vectors: list[int] = []
+        if n_bits == 0:
+            return vectors
+        words, is_lfsr = _hiding_words(source, self.width, n_bits)
         append = vectors.append
-        m = 0
-        i = 0
-        frame_left = frame_bits if frame_bits is not None else n_bits
-        while m < n_bits:
-            k1, k2, span, slice_low, slice_mask, scramble, pair = progs[i % n_pairs]
-            vector = supply()
-            if mode == _W_SCRAMBLED:
-                kn1 = (((vector >> slice_low) & slice_mask) ^ k1) & kmask
-                kn2 = kn1 + span
-                if kn2 >= half:
-                    kn1, kn2 = kn2 - half, kn1
-            elif mode == _W_FIXED:
-                kn1, kn2 = k1, k2
-            else:
-                kn1, kn2 = policy(pair, vector, params)
-                if not 0 <= kn1 <= kn2 <= kmask:
-                    raise CipherFormatError(
-                        f"window policy produced illegal window [{kn1}, {kn2}] "
-                        f"for {self.width}-bit vectors"
-                    )
-            budget = kn2 - kn1 + 1
-            if budget > frame_left:
-                budget = frame_left
-            remaining = n_bits - m
-            if budget > remaining:
-                budget = remaining
-            bmask = masks[budget]
-            byte = m >> 3
-            chunk = (from_bytes(buf[byte : byte + span_bytes], "little")
-                     >> (m & 7)) & bmask
-            window = (chunk ^ scramble) & bmask
-            append((vector & ~(bmask << kn1)) | (window << kn1))
-            m += budget
-            frame_left -= budget
-            if frame_left == 0 and frame_bits is not None:
-                frame_left = frame_bits
-            i += 1
+        from_bytes = int.from_bytes
+        frame = frame_bits or n_bits
+        left = min(frame, n_bits)
+        after = n_bits - left
+        acc = acc_bits = pos = 0
+        for (shift, slice_mask, table), vector in zip(cycle(self._progs), words):
+            kn1, budget, clear, window, scramble = table[(vector >> shift)
+                                                         & slice_mask]
+            if acc_bits < budget:
+                acc |= from_bytes(buf[pos : pos + 7], "little") << acc_bits
+                pos += 7
+                acc_bits += 56
+            if budget < left:
+                append((vector & clear) | (((acc << kn1) & window) ^ scramble))
+                acc >>= budget
+                acc_bits -= budget
+                left -= budget
+                continue
+            window = ((1 << left) - 1) << kn1
+            append((vector & ~window) | (((acc << kn1) ^ scramble) & window))
+            acc >>= left
+            acc_bits -= left
+            if not after:
+                break
+            left = min(frame, after)
+            after -= left
+        if is_lfsr:
+            source.state = vector
         return vectors
 
     def extract_words(self, vectors: Sequence[int], n_bits: int,
@@ -287,77 +304,68 @@ class FastSchedule:
 
     def _extract_buffer(self, vectors: Sequence[int], n_bits: int,
                         strict: bool, frame_bits: int | None) -> bytearray:
-        """The extract hot loop; returns the LSB-first byte buffer.
+        """The extract loop; returns the LSB-first byte buffer.
 
-        Recovered windows accumulate in a small integer that is flushed
-        to the output buffer 64 bits at a time, so no operation ever
-        touches more than a couple of machine words — the mirror image
-        of :meth:`_embed_buffer`'s windowed reads.
+        The mirror image of :meth:`_embed_buffer`: recovered windows
+        accumulate in a small integer flushed to the output 64 bits at a
+        time.  Vectors are range-checked as they are used, unless
+        ``vectors`` is an unsigned :class:`array` exactly ``width`` bits
+        wide (what the packet codec hands over), which cannot hold a bad
+        one.
         """
         if n_bits < 0:
             raise ValueError(f"n_bits must be non-negative, got {n_bits}")
         _check_frame_bits(frame_bits)
-        progs = self._progs
-        n_pairs = len(progs)
-        masks = self._masks
-        half = self.half
-        kmask = half - 1
-        wmask = mask(self.width)
-        mode = self._mode
-        policy = self._window_policy
-        params = self.params
+        width = self.width
+        it = iter(vectors)
         out = bytearray()
-        acc = 0
-        acc_bits = 0
-        got = 0
-        i = 0
-        frame_left = frame_bits if frame_bits is not None else n_bits
-        for vector in vectors:
-            if got >= n_bits:
-                if strict:
-                    raise CipherFormatError(
-                        f"trailing ciphertext: message complete after {i} "
-                        f"vectors but {len(vectors)} were supplied"
-                    )
-                break
-            if vector.__class__ is not int or not 0 <= vector <= wmask:
-                check_uint(vector, self.width, "ciphertext vector")
-            k1, k2, span, slice_low, slice_mask, scramble, pair = progs[i % n_pairs]
-            if mode == _W_SCRAMBLED:
-                kn1 = (((vector >> slice_low) & slice_mask) ^ k1) & kmask
-                kn2 = kn1 + span
-                if kn2 >= half:
-                    kn1, kn2 = kn2 - half, kn1
-            elif mode == _W_FIXED:
-                kn1, kn2 = k1, k2
+        acc = acc_bits = 0
+        if n_bits:
+            words = it
+            if not (vectors.__class__ is array
+                    and vectors.typecode in _UNSIGNED_CODES
+                    and vectors.itemsize * 8 == width):
+                words = _checked_vectors(it, width)
+            frame = frame_bits or n_bits
+            left = min(frame, n_bits)
+            after = n_bits - left
+            for (shift, slice_mask, table), vector in zip(cycle(self._progs),
+                                                          words):
+                kn1, budget, clear, window, scramble = table[(vector >> shift)
+                                                             & slice_mask]
+                if budget < left:
+                    acc |= (((vector & window) ^ scramble) >> kn1) << acc_bits
+                    acc_bits += budget
+                    left -= budget
+                    if acc_bits >= 64:
+                        out += (acc & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+                        acc >>= 64
+                        acc_bits -= 64
+                    continue
+                window = ((1 << left) - 1) << kn1
+                acc |= (((vector ^ scramble) & window) >> kn1) << acc_bits
+                acc_bits += left
+                if acc_bits >= 64:
+                    out += (acc & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+                    acc >>= 64
+                    acc_bits -= 64
+                if not after:
+                    break
+                left = min(frame, after)
+                after -= left
             else:
-                kn1, kn2 = policy(pair, vector, params)
-                if not 0 <= kn1 <= kn2 <= kmask:
-                    raise CipherFormatError(
-                        f"window policy produced illegal window [{kn1}, {kn2}] "
-                        f"for {self.width}-bit vectors"
-                    )
-            budget = kn2 - kn1 + 1
-            if budget > frame_left:
-                budget = frame_left
-            remaining = n_bits - got
-            if budget > remaining:
-                budget = remaining
-            acc |= (((vector >> kn1) ^ scramble) & masks[budget]) << acc_bits
-            acc_bits += budget
-            if acc_bits >= 64:
-                out += (acc & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-                acc >>= 64
-                acc_bits -= 64
-            got += budget
-            frame_left -= budget
-            if frame_left == 0 and frame_bits is not None:
-                frame_left = frame_bits
-            i += 1
-        if got < n_bits:
-            raise CipherFormatError(
-                f"truncated ciphertext: recovered {got} of {n_bits} message bits"
-            )
+                raise CipherFormatError(
+                    f"truncated ciphertext: recovered {n_bits - left - after} "
+                    f"of {n_bits} message bits"
+                )
+        if strict:
+            extra = sum(1 for _ in it)
+            if extra:
+                raise CipherFormatError(
+                    f"trailing ciphertext: message complete after "
+                    f"{len(vectors) - extra} vectors but {len(vectors)} "
+                    f"were supplied"
+                )
         out += acc.to_bytes((n_bits + 7) // 8 - len(out), "little")
         return out
 
@@ -404,51 +412,14 @@ def schedule_for(key: Key, algorithm: str,
     amortises compilation across packets: every packet of a session hits
     the same (key, algorithm, params) triple.
     """
-    if algorithm == MHHEA:
-        mode = _W_SCRAMBLED
-    elif algorithm == HHEA:
-        mode = _W_FIXED
-    else:
-        raise ValueError(
-            f"algorithm must be {MHHEA!r} or {HHEA!r}, got {algorithm!r}"
-        )
     per_key = _SCHEDULES.get(key)
     if per_key is None:
         per_key = _SCHEDULES[key] = {}
     schedule = per_key.get((algorithm, params))
     if schedule is None:
-        schedule = per_key[(algorithm, params)] = FastSchedule(key, params, mode)
+        schedule = per_key[(algorithm, params)] = FastSchedule(key, algorithm,
+                                                               params)
     return schedule
-
-
-def embed_stream(bits: Sequence[int], key: Key, source, window_policy,
-                 data_bit_policy, params: VectorParams,
-                 frame_bits: int | None = None) -> list[int]:
-    """Generic-policy fast embed, mirroring :func:`repro.core.engine.embed_stream`.
-
-    The window policy is consulted once per vector (it may read the
-    vector); the data policy is assumed pure in ``(pair, q)`` and is
-    compiled into per-pair scramble words — both built-in policies are.
-    Pathological policies raise :class:`CipherFormatError` as in the
-    reference engine, with one deliberate strictness difference: the
-    data policy is validated *eagerly* over every ``q`` at compile time,
-    so a policy that is broken only for a ``q`` the message would never
-    reach still fails here (the reference only checks bits it consumes).
-    Trace recording is reference-only.
-    """
-    schedule = FastSchedule(key, params, _W_CALLABLE, window_policy,
-                            data_bit_policy)
-    return schedule.embed_bits(bits, source, frame_bits)
-
-
-def extract_stream(vectors: Sequence[int], key: Key, n_bits: int,
-                   window_policy, data_bit_policy, params: VectorParams,
-                   strict: bool = True,
-                   frame_bits: int | None = None) -> list[int]:
-    """Generic-policy fast extract, mirroring :func:`repro.core.engine.extract_stream`."""
-    schedule = FastSchedule(key, params, _W_CALLABLE, window_policy,
-                            data_bit_policy)
-    return schedule.extract_bits(vectors, n_bits, strict, frame_bits)
 
 
 class BatchCodec:

@@ -32,7 +32,9 @@ field, so header corruption must be as detectable as payload corruption
 from __future__ import annotations
 
 import struct
+import sys
 import warnings
+from array import array
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -202,6 +204,9 @@ def _packet_crc(header: PacketHeader, payload: bytes) -> int:
 #: width up to 64); other byte-multiple widths fall back to the loop.
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
+#: Unsigned :mod:`array` typecodes by item size in bytes.
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
 
 def _vectors_to_payload(vectors: tuple[int, ...] | list[int], width: int) -> bytes:
     step = width // 8
@@ -214,15 +219,25 @@ def _vectors_to_payload(vectors: tuple[int, ...] | list[int], width: int) -> byt
     return bytes(out)
 
 
-def _payload_to_vectors(payload: bytes, width: int) -> list[int]:
+def _payload_to_vectors(payload: bytes, width: int) -> "array | list[int]":
+    """The payload's vectors; an unsigned array when the width has a typecode.
+
+    The array costs one copy of the payload, not one Python int per
+    vector, and its items cannot be out of range, which lets the fast
+    engine skip its per-vector check.
+    """
     step = width // 8
     if len(payload) % step != 0:
         raise CipherFormatError(
             f"payload length {len(payload)} not a multiple of vector size {step}"
         )
-    code = _STRUCT_CODES.get(step)
+    code = _ARRAY_CODES.get(step)
     if code is not None:
-        return list(struct.unpack(f"<{len(payload) // step}{code}", payload))
+        vectors = array(code)
+        vectors.frombytes(payload)
+        if sys.byteorder == "big":
+            vectors.byteswap()
+        return vectors
     return [
         int.from_bytes(payload[i : i + step], "little")
         for i in range(0, len(payload), step)

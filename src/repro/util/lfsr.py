@@ -4,9 +4,11 @@ The paper's random-number-generator module is "designed using Linear
 Feedback Shift Register (LFSR) with primitive feedback polynomial to
 ensure a maximal-length sequence" (section 3.6).  This module provides the
 software golden model: a Fibonacci LFSR, a Galois variant, a table of
-primitive taps for the widths the parametric architecture supports, and a
+primitive taps for the widths the parametric architecture supports, a
 leap-forward matrix stepper that advances the register several bits per
-call the way the hardware produces a whole 16-bit vector per key pair.
+call the way the hardware produces a whole 16-bit vector per key pair,
+and the whole word orbit of a maximal register as a table
+(:func:`lfsr_orbit`).
 
 All registers shift toward the LSB and feed back into the MSB, so after
 ``width`` single-bit steps the register content is a completely fresh
@@ -15,12 +17,13 @@ word; :meth:`Lfsr.next_word` relies on that.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from repro.util.bits import mask, parity
 
 __all__ = ["PRIMITIVE_TAPS", "Lfsr", "GaloisLfsr", "LeapLfsr", "max_period",
-           "taps_to_mask", "fibonacci_mask"]
+           "taps_to_mask", "fibonacci_mask", "ORBIT_MAX_WIDTH", "lfsr_orbit"]
 
 # Primitive polynomial taps (1-indexed bit positions, MSB first) for every
 # register width the parametric hiding vector supports.  Source: standard
@@ -189,10 +192,11 @@ def _leap_tables(width: int, taps: tuple[int, ...]
 class LeapLfsr:
     """Leap-forward stepper emitting exactly :meth:`Lfsr.next_word`'s sequence.
 
-    This is the batched hiding-vector generator of the fast engine
-    (:mod:`repro.core.fastpath`): instead of ``width`` single-bit steps
-    per vector it applies the precomputed ``width``-step transition
-    matrix as a handful of table lookups (see :func:`_leap_tables`).
+    The fast engine (:mod:`repro.core.fastpath`) builds
+    :func:`lfsr_orbit` with it and steps registers that have no orbit
+    table with it: instead of ``width`` single-bit steps per vector it
+    applies the precomputed ``width``-step transition matrix as a
+    handful of table lookups (see :func:`_leap_tables`).
     It deliberately has no ``step`` method — it moves in whole words.
     """
 
@@ -247,6 +251,54 @@ class LeapLfsr:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LeapLfsr(width={self.width}, state={self.state:#06x})"
+
+
+#: Widest register whose whole word orbit :func:`lfsr_orbit` tabulates:
+#: two ``'H'`` tables of ``2**16`` entries, 128 KiB each.
+ORBIT_MAX_WIDTH = 16
+
+#: Words per :meth:`LeapLfsr.words` call while an orbit is built, which
+#: bounds the transient Python list to a few thousand ints.
+_ORBIT_CHUNK = 4096
+
+
+@lru_cache(maxsize=None)
+def lfsr_orbit(width: int, taps: tuple[int, ...]
+               ) -> tuple[memoryview, memoryview] | None:
+    """The whole :meth:`Lfsr.next_word` orbit as a table, if it is one cycle.
+
+    Returns ``(orbit, position)``, two read-only ``'H'`` memoryviews
+    (the cache shares them with every caller): ``orbit[k]`` is the
+    register after ``k + 1`` words from state 1 and ``position[state]``
+    inverts it, so the words that follow ``state`` are
+    ``orbit[position[state] + 1:]`` and then the whole orbit again,
+    round and round.
+
+    For primitive taps the single-bit map has period ``2**width - 1``,
+    which is odd, so ``gcd(width, 2**width - 1) = 1`` and the
+    ``width``-step map is one cycle through every non-zero state too.
+    The build checks that rather than trusting ``taps``: the walk from
+    state 1 must first come back to 1 after exactly ``2**width - 1``
+    words, which makes all of them distinct.  Any other register (a
+    non-primitive custom polynomial) returns ``None``.  ``width`` is at
+    most :data:`ORBIT_MAX_WIDTH`; both tables are key-independent and
+    built once per ``(width, taps)``.
+    """
+    if not 0 < width <= ORBIT_MAX_WIDTH:
+        raise ValueError(f"orbit tables cover widths 1..{ORBIT_MAX_WIDTH}, "
+                         f"got {width}")
+    period = max_period(width)
+    leap = LeapLfsr(width, seed=1, taps=taps)
+    orbit = array("H")
+    while len(orbit) < period:
+        orbit.extend(leap.words(min(_ORBIT_CHUNK, period - len(orbit))))
+    if orbit[-1] != 1 or orbit.index(1) != period - 1:
+        return None
+    position = array("H", bytes(2 * (period + 1)))
+    for k, state in enumerate(orbit):
+        position[state] = k
+    return (memoryview(orbit.tobytes()).cast("H"),
+            memoryview(position.tobytes()).cast("H"))
 
 
 class GaloisLfsr:

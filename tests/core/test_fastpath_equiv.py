@@ -10,6 +10,8 @@ runs ``CASES`` randomised cases; the acceptance bar is zero mismatches.
 
 import os
 import random
+from array import array
+from itertools import islice
 
 import pytest
 
@@ -24,7 +26,7 @@ from repro.core.stream import (
     encrypt_packet,
 )
 from repro.util.bits import mask
-from repro.util.lfsr import PRIMITIVE_TAPS, LeapLfsr, Lfsr
+from repro.util.lfsr import PRIMITIVE_TAPS, LeapLfsr, Lfsr, lfsr_orbit
 
 #: One seed controls every randomised case; override in the environment to
 #: replay a CI failure locally (the CI matrix pins it).
@@ -309,3 +311,195 @@ class TestCipherClassParity:
         fast = HheaCipher(key, engine="fast").encrypt(plaintext, seed=0x4321)
         assert ref == fast
         assert HheaCipher(key, engine="fast").decrypt(ref) == plaintext
+
+
+class TestOrbitTable:
+    """Hiding vectors read from the orbit table replay Lfsr.next_word."""
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_orbit_words_match_lfsr_across_wrap(self, width, where):
+        orbit, position = lfsr_orbit(width, Lfsr(width).taps)
+        period = (1 << width) - 1
+        assert len(orbit) == period
+        start = {"first": 0, "middle": period // 2, "last": period - 1}[where]
+        state = orbit[start]
+        assert position[state] == start
+        # Run past the end of the table and into the next lap.
+        count = period - start + 20
+        words, is_lfsr = fastpath._hiding_words(Lfsr(width, seed=state),
+                                                width, 8)
+        ref = Lfsr(width, seed=state)
+        assert is_lfsr
+        assert list(islice(words, count)) == [
+            ref.next_word() for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_embed_leaves_source_in_reference_state(self, width, where):
+        params = VectorParams(width)
+        orbit, _ = lfsr_orbit(width, Lfsr(width).taps)
+        period = len(orbit)
+        start = {"first": 0, "middle": period // 2, "last": period - 1}[where]
+        key = Key.generate(seed=21, n_pairs=7, params=params)
+        bits = [random.Random(f"{SEED}:orbit:{width}:{where}").randint(0, 1)
+                for _ in range(600)]
+        for mod in CIPHERS.values():
+            src_ref = Lfsr(width, seed=orbit[start])
+            src_fast = Lfsr(width, seed=orbit[start])
+            assert mod.encrypt_bits(bits, key, src_fast, params,
+                                    engine="fast") == mod.encrypt_bits(
+                                        bits, key, src_ref, params)
+            assert src_fast.state == src_ref.state
+
+    def test_orbit_is_shared_and_rejects_a_non_primitive_register(self):
+        assert lfsr_orbit(16, PRIMITIVE_TAPS[16]) is lfsr_orbit(
+            16, PRIMITIVE_TAPS[16])
+        # x^16 + x^8 + 1 = (x^8 + x^4 + 1)^2 is not primitive.
+        assert lfsr_orbit(16, (16, 8)) is None
+        with pytest.raises(ValueError, match="orbit"):
+            lfsr_orbit(24, PRIMITIVE_TAPS[24])
+
+
+class TestLeapFallback:
+    """Registers without an orbit table still match the reference."""
+
+    @pytest.mark.parametrize("cipher", sorted(CIPHERS))
+    def test_non_primitive_custom_taps(self, cipher):
+        mod = CIPHERS[cipher]
+        key = Key.generate(seed=8, n_pairs=5)
+        bits = [random.Random(f"{SEED}:custom").randint(0, 1)
+                for _ in range(900)]
+        for taps in ((16, 8), (16, 15, 2)):
+            assert lfsr_orbit(16, taps) is None
+            for seed in (1, 0x8001, 0xFFFF):
+                src_ref = Lfsr(16, seed=seed, taps=taps)
+                src_fast = Lfsr(16, seed=seed, taps=taps)
+                assert mod.encrypt_bits(bits, key, src_fast,
+                                        engine="fast") == mod.encrypt_bits(
+                                            bits, key, src_ref)
+                assert src_fast.state == src_ref.state
+
+    @pytest.mark.parametrize("cipher", sorted(CIPHERS))
+    def test_width_32_spans_several_leap_blocks(self, cipher):
+        mod = CIPHERS[cipher]
+        params = VectorParams(32)
+        key = Key.generate(seed=12, n_pairs=16, params=params)
+        # ~2000 bits: the first block plus several fixed-size refills.
+        bits = [random.Random(f"{SEED}:w32").randint(0, 1)
+                for _ in range(2000)]
+        src_ref = Lfsr(32, seed=0xDEADBEEF)
+        src_fast = Lfsr(32, seed=0xDEADBEEF)
+        vectors = mod.encrypt_bits(bits, key, src_fast, params, engine="fast")
+        assert vectors == mod.encrypt_bits(bits, key, src_ref, params)
+        assert src_fast.state == src_ref.state
+        assert len(vectors) > -(-len(bits) // params.max_window) + 64
+
+
+class TestOrbitWrapPacket:
+    def test_64k_packet_wrapping_the_orbit_is_byte_identical(self):
+        key = Key.generate(seed=2005, n_pairs=16)
+        payload = random.Random(f"{SEED}:wrap").randbytes(64 * 1024)
+        packet_fast = encrypt_packet(payload, key, nonce=0x7FFF,
+                                     engine="fast")
+        # More vectors than the 65535-word orbit holds: the read wraps.
+        n_vectors = (len(packet_fast) - 22) // 2
+        assert n_vectors > (1 << 16) - 1
+        assert packet_fast == encrypt_packet(payload, key, nonce=0x7FFF)
+        assert decrypt_packet(packet_fast, key, engine="fast") == payload
+
+
+def _failure(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the failure is the result
+        return type(exc), str(exc)
+    return None
+
+
+class TestMalformedVectorParity:
+    """Bad ciphertext vectors fail identically in both engines."""
+
+    @pytest.mark.parametrize("cipher", sorted(CIPHERS))
+    @pytest.mark.parametrize("bad,kind,prefix", [
+        (True, TypeError, "ciphertext vector must be an int, got bool"),
+        (False, TypeError, "ciphertext vector must be an int, got bool"),
+        (-1, ValueError, "ciphertext vector must be non-negative"),
+        (3.0, TypeError, "ciphertext vector must be an int, got float"),
+        (1 << 16, ValueError, "ciphertext vector=0x10000 does not fit"),
+    ])
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_bad_vector_raises_like_check_uint(self, cipher, bad, kind,
+                                               prefix, at):
+        mod = CIPHERS[cipher]
+        key = Key.generate(seed=31, n_pairs=4)
+        bits = [1, 0, 0, 1] * 10
+        vectors = mod.encrypt_bits(bits, key, Lfsr(16, seed=5))
+        vectors[at] = bad
+        failures = [
+            _failure(lambda engine=engine: mod.decrypt_bits(
+                vectors, key, len(bits), engine=engine))
+            for engine in ("reference", "fast")
+        ]
+        assert failures[0] == failures[1]
+        assert failures[0][0] is kind
+        assert failures[0][1].startswith(prefix)
+
+    @pytest.mark.parametrize("cipher", sorted(CIPHERS))
+    def test_bad_vector_after_the_message_is_not_inspected(self, cipher):
+        mod = CIPHERS[cipher]
+        key = Key.generate(seed=31, n_pairs=4)
+        bits = [1, 1, 0] * 9
+        vectors = mod.encrypt_bits(bits, key, Lfsr(16, seed=6)) + [True, -1]
+        for engine in ("reference", "fast"):
+            with pytest.raises(CipherFormatError,
+                               match="trailing ciphertext: message complete "
+                                     f"after {len(vectors) - 2} vectors"):
+                mod.decrypt_bits(vectors, key, len(bits), engine=engine)
+            assert mod.decrypt_bits(vectors, key, len(bits), strict=False,
+                                    engine=engine) == bits
+
+    @pytest.mark.parametrize("cipher", sorted(CIPHERS))
+    def test_trailing_and_truncated_arrays(self, cipher):
+        # An exact-width unsigned array skips the per-vector check but
+        # keeps the structural ones.
+        mod = CIPHERS[cipher]
+        key = Key.generate(seed=32, n_pairs=9)
+        bits = [0, 1, 1] * 30
+        vectors = mod.encrypt_bits(bits, key, Lfsr(16, seed=7))
+        assert mod.decrypt_bits(array("H", vectors), key, len(bits),
+                                engine="fast") == bits
+        with pytest.raises(CipherFormatError, match="trailing"):
+            mod.decrypt_bits(array("H", vectors + [0]), key, len(bits),
+                             engine="fast")
+        with pytest.raises(CipherFormatError, match="truncated"):
+            mod.decrypt_bits(array("H", vectors[:-1]), key, len(bits),
+                             engine="fast")
+        # A signed array can hold negatives, so it is still checked.
+        with pytest.raises(ValueError, match="non-negative"):
+            mod.decrypt_bits(array("h", [-1, 0, 0]), key, 3, engine="fast")
+
+    def test_trailing_and_truncated_packets(self):
+        from repro.core.stream import HEADER_SIZE, PacketHeader
+        from repro.util.crc import crc16_ccitt
+
+        key = Key.generate(seed=2005, n_pairs=16)
+        packet = encrypt_packet(b"parity" * 20, key, nonce=77)
+        header = PacketHeader.unpack(packet)
+        payload = packet[HEADER_SIZE:]
+
+        def forge(n_vectors, body):
+            forged = PacketHeader(header.algorithm, header.width,
+                                  header.nonce, header.n_bits, n_vectors, 0)
+            crc = crc16_ccitt(forged.pack() + body)
+            return PacketHeader(header.algorithm, header.width, header.nonce,
+                                header.n_bits, n_vectors, crc).pack() + body
+
+        trailing = forge(header.n_vectors + 1, payload + b"\0\0")
+        truncated = forge(header.n_vectors - 1, payload[:-2])
+        for engine in ("reference", "fast"):
+            with pytest.raises(CipherFormatError, match="trailing"):
+                decrypt_packet(trailing, key, engine=engine)
+            with pytest.raises(CipherFormatError, match="truncated"):
+                decrypt_packet(truncated, key, engine=engine)
